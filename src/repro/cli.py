@@ -96,6 +96,22 @@ def cmd_list(args) -> int:
     return 0
 
 
+def _status_out(args):
+    """Where status lines go: stderr when ``--json`` owns stdout."""
+    return sys.stderr if getattr(args, "json", False) else sys.stdout
+
+
+def _history_gate(args, suite: str, metrics: Dict[str, float],
+                  context: dict, info: dict, command: str = "") -> int:
+    """The ``--history``/``--check`` step of a bench command; exit code."""
+    from repro.core.bench_history import gate_history
+
+    return gate_history(args.history, suite, metrics, context=context,
+                        info=info, check=args.check,
+                        tolerance=args.tolerance, command=command,
+                        out=_status_out(args))
+
+
 def cmd_bench(args) -> int:
     """Scalar vs batched lookup microbenchmark (wall clock)."""
     import json
@@ -218,8 +234,6 @@ def cmd_bench(args) -> int:
                       f"{args.min_speedup}x", file=sys.stderr)
             return 1
     if args.history:
-        from repro.core.bench_history import append_history, check_history
-
         context = {"dataset": args.dataset, "n": args.n,
                    "lookups": args.lookups, "seed": args.seed,
                    "indexes": sorted(names)}
@@ -231,21 +245,7 @@ def cmd_bench(args) -> int:
             info[f"scalar_ops_per_s.{r['index']}"] = r["scalar_ops_per_s"]
             info[f"batch_ops_per_s.{r['index']}"] = r["batch_ops_per_s"]
             info[f"speedup.{r['index']}"] = r["speedup"]
-        if args.check:
-            regressions = check_history(args.history, "bench", metrics,
-                                        context=context,
-                                        tolerance=args.tolerance)
-            if regressions:
-                for reg in regressions:
-                    print(f"FAIL {reg}", file=sys.stderr)
-                print(f"bench --check: {len(regressions)} regression(s) vs "
-                      f"{args.history}", file=sys.stderr)
-                return 1
-            print(f"bench --check: no regressions vs {args.history} "
-                  f"(tolerance {args.tolerance:.0%})")
-        append_history(args.history, "bench", metrics, info=info,
-                       context=context)
-        print(f"history: appended to {args.history}")
+        return _history_gate(args, "bench", metrics, context, info)
     return 0
 
 
@@ -571,8 +571,6 @@ def cmd_sweep(args) -> int:
         with open(args.bench, "w") as f:
             json.dump(doc, f, indent=2)
     if args.history and report.cells:
-        from repro.core.bench_history import append_history, check_history
-
         single = [c for c in report.cells
                   if c.record.get("kind") != "multicore"]
         mops = [c.throughput_mops for c in single]
@@ -593,18 +591,8 @@ def cmd_sweep(args) -> int:
                 "cells_per_sec": report.cells_per_sec,
                 "cache_hits": report.cache_hits,
                 "executed": report.executed}
-        if args.check:
-            regressions = check_history(args.history, "sweep", metrics,
-                                        context=context,
-                                        tolerance=args.tolerance)
-            if regressions:
-                for reg in regressions:
-                    print(f"FAIL {reg}", file=sys.stderr)
-                return 1
-            print(f"sweep --check: no regressions vs {args.history} "
-                  f"(tolerance {args.tolerance:.0%})")
-        append_history(args.history, "sweep", metrics, info=info,
-                       context=context)
+        if _history_gate(args, "sweep", metrics, context, info):
+            return 1
     if args.json:
         import json
 
@@ -786,7 +774,7 @@ def cmd_migrate(args) -> int:
         raise SystemExit(str(exc)) from None
     if bus is not None:
         n = bus.save(args.events)
-        print(f"events: {args.events} ({n} events)")
+        print(f"events: {args.events} ({n} events)", file=_status_out(args))
     if report.repro is not None and args.repro_dir:
         import os
 
@@ -804,10 +792,8 @@ def cmd_migrate(args) -> int:
         doc.update(provenance())
         with open(args.bench, "w") as f:
             json.dump(doc, f, indent=2)
-        print(f"wrote {args.bench}")
+        print(f"wrote {args.bench}", file=_status_out(args))
     if args.history:
-        from repro.core.bench_history import append_history, check_history
-
         metrics = {
             "overhead_ns": report.overhead_ns,
             "client_ns": report.client_ns,
@@ -816,19 +802,10 @@ def cmd_migrate(args) -> int:
         context = {"src": src, "dst": dst, "dataset": args.dataset,
                    "workload": args.workload, "n": args.n, "ops": args.ops,
                    "chunk": args.chunk, "pump": args.pump, "seed": args.seed}
-        if args.check:
-            regressions = check_history(args.history, "migration", metrics,
-                                        context=context,
-                                        tolerance=args.tolerance)
-            if regressions:
-                for reg in regressions:
-                    print(f"FAIL {reg}", file=sys.stderr)
-                return 1
-            print(f"migrate --check: no regressions vs {args.history} "
-                  f"(tolerance {args.tolerance:.0%})")
-        append_history(args.history, "migration", metrics,
-                       info={"wall_seconds": report.wall_seconds},
-                       context=context)
+        if _history_gate(args, "migration", metrics, context,
+                         {"wall_seconds": report.wall_seconds},
+                         command="migrate"):
+            return 1
     if args.json:
         print(json.dumps(report.to_dict(), indent=2))
     else:
@@ -912,10 +889,8 @@ def cmd_shard(args) -> int:
     if args.out:
         with open(args.out, "w") as f:
             json.dump(doc, f, indent=2)
-        print(f"wrote {args.out}")
+        print(f"wrote {args.out}", file=_status_out(args))
     if args.history:
-        from repro.core.bench_history import append_history, check_history
-
         metrics = {
             "scaling_virtual": scaling["scaling_virtual"],
             "virtual_mops_max": scaling["virtual_mops_max"],
@@ -926,19 +901,9 @@ def cmd_shard(args) -> int:
                    "shard_counts": list(counts), "shards": args.shards,
                    "batch": args.batch, "window": args.window,
                    "seed": args.seed}
-        if args.check:
-            regressions = check_history(args.history, "shard", metrics,
-                                        context=context,
-                                        tolerance=args.tolerance)
-            if regressions:
-                for reg in regressions:
-                    print(f"FAIL {reg}", file=sys.stderr)
-                return 1
-            print(f"shard --check: no regressions vs {args.history} "
-                  f"(tolerance {args.tolerance:.0%})")
-        append_history(args.history, "shard", metrics,
-                       info={"wall_seconds": rebalance["wall_seconds"]},
-                       context=context)
+        if _history_gate(args, "shard", metrics, context,
+                         {"wall_seconds": rebalance["wall_seconds"]}):
+            return 1
     ok = True
     if scaling["scaling_virtual"] < args.min_scaling:
         print(f"FAIL: virtual scaling {scaling['scaling_virtual']:.2f}x < "
@@ -1019,8 +984,6 @@ def cmd_serve(args) -> int:
         # stderr: --out defaults on, and --json consumers own stdout.
         print(f"wrote {args.out}", file=sys.stderr)
     if args.history:
-        from repro.core.bench_history import append_history, check_history
-
         # Gated metrics come from the deterministic session only: same
         # seed, same interleave, same virtual-clock numbers on any
         # machine.  Threaded wall-clock stats ride in info, ungated.
@@ -1038,18 +1001,8 @@ def cmd_serve(args) -> int:
         info = {"wall_seconds": report.wall_seconds}
         if threaded is not None:
             info["threaded_wall_seconds"] = threaded.wall_seconds
-        if args.check:
-            regressions = check_history(args.history, "serve", metrics,
-                                        context=context,
-                                        tolerance=args.tolerance)
-            if regressions:
-                for reg in regressions:
-                    print(f"FAIL {reg}", file=sys.stderr)
-                return 1
-            print(f"serve --check: no regressions vs {args.history} "
-                  f"(tolerance {args.tolerance:.0%})")
-        append_history(args.history, "serve", metrics, info=info,
-                       context=context)
+        if _history_gate(args, "serve", metrics, context, info):
+            return 1
     ok = True
     for label, r in (("deterministic", report), ("threaded", threaded)):
         if r is None:

@@ -32,10 +32,12 @@ from __future__ import annotations
 
 import hashlib
 import json
+import statistics
 import subprocess
+import sys
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, TextIO
 
 from repro.core.results import SCHEMA_VERSION, load_jsonl, save_jsonl
 
@@ -43,6 +45,7 @@ __all__ = [
     "BenchRegression",
     "append_history",
     "check_history",
+    "gate_history",
     "history_fingerprint",
     "history_record",
     "load_history",
@@ -169,13 +172,6 @@ class BenchRegression:
                 f"({self.change:+.1%}, tolerance {self.tolerance:.0%})")
 
 
-def _median(values: List[float]) -> float:
-    s = sorted(values)
-    n = len(s)
-    mid = n // 2
-    return s[mid] if n % 2 else (s[mid - 1] + s[mid]) / 2.0
-
-
 def check_history(
     path: str,
     suite: str,
@@ -200,7 +196,7 @@ def check_history(
                    if metric in r.get("metrics", {})]
         if not history:
             continue
-        baseline = _median(history)
+        baseline = statistics.median(history)
         if baseline == 0:
             continue
         change = (float(current) - baseline) / baseline
@@ -212,3 +208,40 @@ def check_history(
                 current=float(current), tolerance=tolerance))
     out.sort(key=lambda r: -abs(r.change))
     return out
+
+
+def gate_history(
+    path: str,
+    suite: str,
+    metrics: Dict[str, float],
+    context: Optional[dict] = None,
+    info: Optional[dict] = None,
+    check: bool = False,
+    tolerance: float = 0.15,
+    command: str = "",
+    out: Optional[TextIO] = None,
+) -> int:
+    """The ``--history``/``--check`` step every bench command shares.
+
+    With ``check``, gate ``metrics`` against the trajectory at ``path``
+    first: regressions print as ``FAIL`` lines on stderr and return exit
+    code 1 without appending.  Otherwise append the record and return 0.
+    Status lines go to ``out`` (stdout by default); a command printing
+    ``--json`` passes stderr so its stdout stays one JSON document.
+    """
+    out = out or sys.stdout
+    command = command or suite
+    if check:
+        regressions = check_history(path, suite, metrics, context=context,
+                                    tolerance=tolerance)
+        if regressions:
+            for reg in regressions:
+                print(f"FAIL {reg}", file=sys.stderr)
+            print(f"{command} --check: {len(regressions)} regression(s) vs "
+                  f"{path}", file=sys.stderr)
+            return 1
+        print(f"{command} --check: no regressions vs {path} "
+              f"(tolerance {tolerance:.0%})", file=out)
+    append_history(path, suite, metrics, info=info, context=context)
+    print(f"history: appended to {path}", file=out)
+    return 0

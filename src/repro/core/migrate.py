@@ -30,6 +30,12 @@ Admission is checked per op against the serving instance; with the
 multiplexed design no state ever refuses a read, and the report's
 ``rejected_ops`` / ``cutover_stall_ops`` fields prove the "zero
 downtime" claim as measured facts rather than assertions.
+
+Steps 2 and 4 — wiring, pumping, cutover, abort and rollback — live in
+:class:`MigrationJob`, the one driver every multiplexed rebuild in the
+system runs on: this module's :func:`run_migration`, shard split/merge
+(:mod:`repro.core.shard`) and server rebuild jobs
+(:mod:`repro.core.server`) each hand it only their slot swap.
 """
 
 from __future__ import annotations
@@ -37,8 +43,9 @@ from __future__ import annotations
 import re
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence
 
+from repro.core.events import KIND_CUTOVER
 from repro.core.instance import (
     DRAINING,
     MIGRATING,
@@ -54,20 +61,20 @@ from repro.core.opstream import (
     shrink_stream,
 )
 from repro.core.registry import REGISTRY, IndexSpec
-from repro.core.runner import OpEvent
-from repro.core.workloads import (
-    DELETE,
-    INSERT,
-    LOOKUP,
-    SCAN,
-    UPDATE,
-    Operation,
-    Workload,
+from repro.core.runner import OpEvent, apply_op
+from repro.core.workloads import LOOKUP, SCAN, Operation, Workload
+from repro.indexes.multiplex import (
+    BACKFILL,
+    DETACHED,
+    DONE,
+    FAILED,
+    READY,
+    VERIFY,
+    MultiplexIndex,
 )
-from repro.indexes.multiplex import DONE, FAILED, MultiplexIndex
 
-__all__ = ["MigrationReport", "apply_op", "resolve_index_name",
-           "run_migration"]
+__all__ = ["MigrationJob", "MigrationReport", "apply_op",
+           "resolve_index_name", "run_migration"]
 
 
 def resolve_index_name(name: str) -> str:
@@ -237,34 +244,112 @@ def _check_spec(spec: IndexSpec, role: str) -> None:
             "(shadow writes) and range scans (backfill snapshot cursor)")
 
 
-def apply_op(index: Any, op: Operation) -> Tuple[bool, int, object]:
-    """Engine-handler semantics for one op against any index-like.
+class MigrationJob:
+    """One live migration over a :class:`MultiplexIndex`, driven to a verdict.
 
-    ``index`` is anything honoring the ``OrderedIndex`` op surface — a
-    bare index, a :class:`MultiplexIndex`, a sharded tier.  Returns
-    ``(ok, scanned, result)`` exactly as the execution engine's
-    dispatch table would, so journal replays and migrations compare
-    bit-for-bit against engine runs.  Shared by the migration control
-    plane and the :mod:`repro.core.server` foreground path.
+    The one control loop behind every rebuild in the system: offline
+    migration (:func:`run_migration`), shard split/merge
+    (:class:`~repro.core.shard.ShardedIndex`) and server rebuild jobs
+    (:class:`~repro.core.server.IndexServer`).  It owns what they share:
+
+    * wiring the multiplexer's progress sink into ``instance`` and its
+      status snapshot into the ``status_probe`` of ``instance`` and
+      every ``watchers`` instance,
+    * :meth:`step`: pump chunks up to a key budget, adding each chunk's
+      cost on the secondary's meter to :attr:`overhead_ns`,
+    * cutover on READY, then the caller's slot swap (``on_cutover``,
+      which may return extra fields) and the one ``cutover`` event,
+    * abort on FAILED or when a step raises, then the caller's
+      rollback (``on_rollback``); :attr:`error` says why.
+
+    Callers hand over only their slot swap: what replaces what on
+    cutover, and what is restored on rollback.
     """
-    kind = op.op
-    if kind == LOOKUP:
-        value = index.lookup(op.key)
-        return value is not None, 0, value
-    if kind == INSERT:
-        return bool(index.insert(op.key, op.value)), 0, None
-    if kind == UPDATE:
-        return bool(index.update(op.key, op.value)), 0, None
-    if kind == DELETE:
-        return bool(index.delete(op.key)), 0, None
-    if kind == SCAN:
-        rows = index.range_scan(op.key, op.count)
-        return True, len(rows), rows
-    raise ValueError(f"unknown op {kind!r}")
 
+    def __init__(self, mux: MultiplexIndex, instance: IndexInstance,
+                 on_cutover: Callable[[], Optional[Dict[str, Any]]],
+                 on_rollback: Callable[[], None],
+                 watchers: Sequence[IndexInstance] = (),
+                 bus: Any = None) -> None:
+        self.mux = mux
+        self.instance = instance
+        self.on_cutover = on_cutover
+        self.on_rollback = on_rollback
+        self.bus = bus
+        self._watchers = (instance, *watchers)
+        #: Virtual ns of pump and cutover work, on the secondary's meter.
+        self.overhead_ns = 0.0
+        self.chunks = 0
+        #: ``DONE`` after cutover, ``DETACHED`` after rollback.
+        self.outcome: Optional[str] = None
+        self.error = ""
+        mux.progress_sink = (lambda stage, done, total:
+                             instance.note_backfill(done, total, stage=stage))
+        for inst in self._watchers:
+            inst.status_probe = mux.status
 
-#: Backward-compatible alias (pre-PR-10 private name).
-_apply = apply_op
+    @property
+    def finished(self) -> bool:
+        return self.outcome is not None
+
+    def step(self, budget: float = 1) -> bool:
+        """One control step; returns whether the job has finished.
+
+        A READY multiplexer is cut over, and that is the whole step.
+        Otherwise chunks are pumped while ``budget`` keys remain (a
+        chunk spends at least one).  A FAILED multiplexer, or a step
+        that raises, aborts and rolls back."""
+        mux = self.mux
+        if self.outcome is not None:
+            return True
+        try:
+            if mux.phase == READY:
+                self._metered(mux.cutover)  # re-checks late churn; may fail
+            while budget > 0 and mux.phase in (BACKFILL, VERIFY):
+                budget -= max(self._metered(mux.pump), 1)
+                self.chunks += 1
+        except Exception as exc:  # noqa: BLE001 — a crashed step rolls back
+            self.abort(f"{type(exc).__name__}: {exc}")
+            return True
+        if mux.phase == DONE:
+            self._cut_over()
+        elif mux.phase == FAILED:
+            self.abort(mux.divergences[0].describe() if mux.divergences
+                       else "migration failed")
+        return self.finished
+
+    def abort(self, why: str = "abort requested") -> None:
+        """Detach the secondary and hand the caller its rollback."""
+        mux = self.mux
+        if self.outcome is not None or mux.phase == DONE:
+            raise RuntimeError("cannot abort a finished migration")
+        if mux.phase != DETACHED:
+            mux.abort()
+        self._finish(DETACHED)
+        self.error = why
+        self.on_rollback()
+
+    def _metered(self, action: Callable[[], Any]) -> Any:
+        meter = self.mux.secondary.meter
+        before = meter.snapshot()
+        out = action()
+        self.overhead_ns += meter.diff(before).total_time()
+        return out
+
+    def _cut_over(self) -> None:
+        self._finish(DONE)
+        fields = self.on_cutover() or {}
+        if self.bus is not None:
+            mux = self.mux
+            self.bus.publish(KIND_CUTOVER, **{
+                "source": self.instance.name,
+                "t_ns": mux.meter.total_time(),
+                "op_seq": mux.cutover_seq, **fields})
+
+    def _finish(self, outcome: str) -> None:
+        self.outcome = outcome
+        for inst in self._watchers:
+            inst.status_probe = None
 
 
 def run_migration(
@@ -317,21 +402,38 @@ def run_migration(
         target.attach_bus(bus)
     source.bulk_load(workload.bulk_items)
 
+    serving = source
+    applied: List[Operation] = []
+    # Client-op sequence number a cutover or abort happens at.
+    at = 0
+    abort_seq: Optional[int] = None
+
+    def cut_over() -> Dict[str, Any]:
+        nonlocal serving
+        serving = target
+        report.cutover_seq = at
+        target.advance(SERVING, f"cutover at op #{at}")
+        source.advance(DRAINING, "replaced by target")
+        source.advance(RETIRED, "drained")
+        return {"op_seq": at, "src": source.name, "dst": target.name}
+
+    def roll_back() -> None:
+        # Keep driving the stream through the source afterwards, to
+        # prove rollback left it serving.
+        nonlocal abort_seq
+        abort_seq = at
+        source.advance(SERVING, "migration aborted: divergence")
+        target.advance(RETIRED, "diverged from primary")
+
     mux = MultiplexIndex(source.index, target.index, chunk=chunk,
                          pump_per_op=pump_per_op, auto_cutover=True)
-    mux.progress_sink = lambda stage, done, total: target.note_backfill(
-        done, total, stage=stage)
-    # Live status: either instance's status() now snapshots the pump.
-    source.status_probe = mux.status
-    target.status_probe = mux.status
+    job = MigrationJob(mux, target, cut_over, roll_back,
+                       watchers=[source], bus=bus)
     source.advance(MIGRATING, f"multiplexing to {target.name}")
 
     differ = DifferentialObserver(limit=oracle_limit)
     differ.on_phase("measure", None, workload)
 
-    serving = source
-    applied: List[Operation] = []
-    abort_seq: Optional[int] = None
     win_meter = None
     win_start = 0.0
     win_ops = 0
@@ -379,54 +481,21 @@ def run_migration(
         differ.on_op(event, None)
         if abort_seq is not None:
             report.post_abort_ops += 1
-            continue
-        if mux.phase == FAILED:
-            # Divergence: drop the shadow, roll the source back to
-            # plain service, and keep driving the stream through it to
-            # prove rollback left it serving.
-            abort_seq = seq
-            mux.abort()
-            source.advance(SERVING, "migration aborted: divergence")
-            target.advance(RETIRED, "diverged from primary")
-        elif mux.phase == DONE and report.cutover_seq is None:
-            report.cutover_seq = seq
-            serving = target
-            if bus is not None:
-                bus.publish("cutover", source=target.name,
-                            t_ns=mux.meter.total_time(), op_seq=seq,
-                            src=source.name, dst=target.name)
-            target.advance(SERVING, f"cutover at op #{seq}")
-            source.advance(DRAINING, "replaced by target")
-            source.advance(RETIRED, "drained")
+        elif not job.finished:
+            # The multiplexer pumps (and cuts over) inside the op; the
+            # driver only turns DONE/FAILED into a cutover or rollback.
+            at = seq
+            job.step(0)
 
     # Traffic ended before the pump finished: drain the remaining
     # backfill/verify chunks (still overhead-metered) and cut over.
-    while abort_seq is None and mux.phase not in (DONE, FAILED):
-        shadow = mux.secondary
-        shadow0 = shadow.meter.total_time() if shadow is not None else 0.0
-        mux.pump()
-        if shadow is not None:
-            report.overhead_ns += shadow.meter.total_time() - shadow0
-    if abort_seq is None:
-        if mux.phase == DONE:
-            if report.cutover_seq is None:
-                report.cutover_seq = len(applied)
-                if bus is not None:
-                    bus.publish("cutover", source=target.name,
-                                t_ns=mux.meter.total_time(),
-                                op_seq=len(applied), src=source.name,
-                                dst=target.name)
-                target.advance(SERVING, "cutover after stream end")
-                source.advance(DRAINING, "replaced by target")
-                source.advance(RETIRED, "drained")
-        elif mux.phase == FAILED:
-            abort_seq = len(applied)
-            mux.abort()
-            source.advance(SERVING, "migration aborted: divergence")
-            target.advance(RETIRED, "diverged from primary")
+    at = len(applied)
+    while not job.step():
+        pass
+    report.overhead_ns += job.overhead_ns
 
-    report.completed = mux.phase == DONE
-    report.aborted = abort_seq is not None
+    report.completed = job.outcome == DONE
+    report.aborted = job.outcome == DETACHED
     report.backfill_keys = mux.backfill_keys
     report.backfill_chunks = mux.backfill_chunks
     report.verify_keys = mux.verify_keys

@@ -6,9 +6,10 @@ interpreter, not the index design.  Wall seconds are still recorded for
 sanity.  As in the paper, measurement starts *after* bulk loading, and
 latencies are sampled from ~1% of operations.
 
-Measurement is structured as an :class:`ExecutionEngine` driving an
-op-dispatch table, with every metric collected by an
-:class:`ExecutionObserver`.  Latency sampling, Table-3 insert
+Measurement is structured as an :class:`ExecutionEngine` applying each
+op through :func:`apply_op` (the one op-semantics function, shared by
+the migration, sharding and serving layers), with every metric
+collected by an :class:`ExecutionObserver`.  Latency sampling, Table-3 insert
 statistics and scan accounting are stock observers; downstream users
 (trace replay, diagnostics, future sharded/async runners) attach their
 own without touching the loop::
@@ -29,7 +30,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.instance import LOADING, IndexInstance
 from repro.core.workloads import DELETE, INSERT, LOOKUP, SCAN, UPDATE, Operation, Workload
@@ -185,6 +186,38 @@ class RunResult:
 
 
 # ---------------------------------------------------------------------------
+# Op semantics
+# ---------------------------------------------------------------------------
+
+def apply_op(index: Any, op: Operation) -> Tuple[bool, int, object]:
+    """Execute one workload op against any index-like; the one place op
+    semantics live.
+
+    ``index`` is anything honoring the ``OrderedIndex`` op surface — a
+    bare index, a :class:`~repro.indexes.multiplex.MultiplexIndex`, a
+    sharded tier.  Returns ``(ok, scanned, result)``: insert/update/
+    delete success or lookup hit, entries returned (scans only), and
+    the op's raw return value (the looked-up payload, the scanned
+    ``(key, value)`` rows, ``None`` for writes) so differential oracles
+    can compare payloads without re-running the op.
+    """
+    kind = op.op
+    if kind == LOOKUP:
+        value = index.lookup(op.key)
+        return value is not None, 0, value
+    if kind == INSERT:
+        return bool(index.insert(op.key, op.value)), 0, None
+    if kind == UPDATE:
+        return bool(index.update(op.key, op.value)), 0, None
+    if kind == DELETE:
+        return bool(index.delete(op.key)), 0, None
+    if kind == SCAN:
+        rows = index.range_scan(op.key, op.count)
+        return True, len(rows), rows
+    raise ValueError(f"unknown op {kind!r}")
+
+
+# ---------------------------------------------------------------------------
 # Observer protocol
 # ---------------------------------------------------------------------------
 
@@ -280,7 +313,7 @@ class ScanAccountant(ExecutionObserver):
 # ---------------------------------------------------------------------------
 
 class ExecutionEngine:
-    """Drives a workload through an index via an op-dispatch table.
+    """Drives a workload through an index, one :func:`apply_op` per op.
 
     ``sample_every`` controls latency sampling (~1% of ops by default,
     matching the paper).  Sampling snapshots the cost meter around the
@@ -319,47 +352,10 @@ class ExecutionEngine:
         # keep this module import-cycle-free like ``telemetry``.
         if bus is not None:
             self.observers.append(bus.engine_observer(window_ops=bus_window))
-        self._dispatch: Dict[
-            str, Callable[[OrderedIndex, Operation], Tuple[bool, int, object]]
-        ] = {
-            LOOKUP: self._op_lookup,
-            INSERT: self._op_insert,
-            UPDATE: self._op_update,
-            DELETE: self._op_delete,
-            SCAN: self._op_scan,
-        }
 
     def add_observer(self, observer: ExecutionObserver) -> ExecutionObserver:
         self.observers.append(observer)
         return observer
-
-    # -- op handlers (the dispatch table) --------------------------------------
-    #
-    # Each handler returns ``(ok, scanned, result)`` where ``result`` is
-    # the op's raw return value — surfaced to observers via
-    # ``OpEvent.result`` so differential oracles can compare payloads.
-
-    @staticmethod
-    def _op_lookup(index: OrderedIndex, op: Operation) -> Tuple[bool, int, object]:
-        value = index.lookup(op.key)
-        return value is not None, 0, value
-
-    @staticmethod
-    def _op_insert(index: OrderedIndex, op: Operation) -> Tuple[bool, int, object]:
-        return bool(index.insert(op.key, op.value)), 0, None
-
-    @staticmethod
-    def _op_update(index: OrderedIndex, op: Operation) -> Tuple[bool, int, object]:
-        return bool(index.update(op.key, op.value)), 0, None
-
-    @staticmethod
-    def _op_delete(index: OrderedIndex, op: Operation) -> Tuple[bool, int, object]:
-        return bool(index.delete(op.key)), 0, None
-
-    @staticmethod
-    def _op_scan(index: OrderedIndex, op: Operation) -> Tuple[bool, int, object]:
-        rows = index.range_scan(op.key, op.count)
-        return True, len(rows), rows
 
     # -- the measured loop ------------------------------------------------------
 
@@ -371,13 +367,10 @@ class ExecutionEngine:
         observers: Sequence[ExecutionObserver],
         meter,
     ) -> None:
-        handler = self._dispatch.get(op.op)
-        if handler is None:
-            raise ValueError(f"unknown op {op.op!r}")
         sampled = (seq % self.sample_every) == 0
         before = meter.total_time() if sampled else 0.0
         prev_record = index.last_op
-        ok, scanned, result = handler(index, op)
+        ok, scanned, result = apply_op(index, op)
         latency = meter.total_time() - before if sampled else None
         # Indexes assign a *new* OpRecord whenever they record an op,
         # so identity against the pre-op object detects staleness

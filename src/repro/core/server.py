@@ -19,11 +19,13 @@ loads, rebuilds and migrations run as background jobs:
   (SNIPPETS Snippet 1's reconcile-thread pattern) — and are executed
   one chunk at a time by a worker thread.  A rebuild wraps the serving
   index in a :class:`~repro.indexes.multiplex.MultiplexIndex` with
-  ``pump_per_op=0``: only the job worker pumps, under the write lock,
-  so client reads are never blocked by migration work and never race
-  the backfill cursor.  Pump work is charged to the secondary's meter
-  (never client-visible latency); a failed or aborted job rolls the
-  instance back to SERVING on its original index.
+  ``pump_per_op=0``, stepped by the shared
+  :class:`~repro.core.migrate.MigrationJob` driver: only the job worker
+  pumps, under the write lock, so client reads are never blocked by
+  migration work and never race the backfill cursor.  Pump work is
+  charged to the secondary's meter (never client-visible latency); a
+  failed, crashed or aborted job rolls the instance back to SERVING on
+  its original index.
 * **Status is first-class**: every job step publishes a typed ``job``
   event (chunks pumped, verified fraction, queue depth, ETA on the
   virtual clock) through the PR-8 :class:`~repro.core.events.EventBus`
@@ -58,7 +60,7 @@ from types import SimpleNamespace
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.cost import SyncedMeter
-from repro.core.events import KIND_CUTOVER, KIND_JOB
+from repro.core.events import KIND_JOB
 from repro.core.instance import (
     LOADING,
     MIGRATING,
@@ -67,7 +69,7 @@ from repro.core.instance import (
     AdmissionError,
     IndexInstance,
 )
-from repro.core.migrate import apply_op, resolve_index_name
+from repro.core.migrate import MigrationJob, apply_op, resolve_index_name
 from repro.core.opstream import DifferentialObserver, Mismatch
 from repro.core.registry import REGISTRY
 from repro.core.runner import OpEvent
@@ -80,15 +82,7 @@ from repro.core.workloads import (
     Operation,
     payload,
 )
-from repro.indexes.multiplex import (
-    BACKFILL,
-    DETACHED,
-    DONE,
-    FAILED,
-    READY,
-    VERIFY,
-    MultiplexIndex,
-)
+from repro.indexes.multiplex import MultiplexIndex
 
 __all__ = [
     "BLOCK",
@@ -316,8 +310,9 @@ class _BulkLoadRunner:
 
 
 class _RebuildRunner:
-    """Background rebuild/migration driving a ``pump_per_op=0``
-    multiplexer one chunk per step, under the instance's write lock."""
+    """Background rebuild/migration: a :class:`MigrationJob` over a
+    ``pump_per_op=0`` multiplexer, stepped one chunk at a time under
+    the instance's write lock."""
 
     def __init__(self, server: "IndexServer", served: _Served,
                  job: Job, factory: Optional[Callable[[], Any]]) -> None:
@@ -325,63 +320,29 @@ class _RebuildRunner:
         self.served = served
         self.job = job
         self.factory = factory
-        self.mux: Optional[MultiplexIndex] = None
-        self.original: Any = None
-        self.dst_name = ""
+        self.migration: Optional[MigrationJob] = None
+
+    @property
+    def mux(self) -> Optional[MultiplexIndex]:
+        return self.migration.mux if self.migration is not None else None
 
     def step(self) -> bool:
-        if self.mux is None:
+        migration = self.migration
+        if migration is None:
             return self._attach()
-        job, served = self.job, self.served
-        with _write(served.lock):
-            mux = self.mux
+        job = self.job
+        with _write(self.served.lock):
+            chunks = migration.chunks
             if job.abort_requested:
-                return self._rollback_locked(JOB_ABORTED, "abort requested")
-            if mux.phase in (BACKFILL, VERIFY):
-                overhead_meter = mux.secondary.meter
-                before = overhead_meter.snapshot()
-                mux.pump()
-                job.overhead_ns += overhead_meter.diff(before).total_time()
-                job.chunks_pumped += 1
+                migration.abort()
+            else:
+                migration.step()
+            pumped = migration.chunks - chunks
+            job.chunks_pumped += pumped
+            job.overhead_ns = migration.overhead_ns
+            if pumped:
                 self._note_progress()
-                if mux.phase == FAILED:
-                    return self._rollback_locked(
-                        JOB_FAILED, self._divergence_text())
-                return False
-            if mux.phase == FAILED:
-                return self._rollback_locked(JOB_FAILED,
-                                             self._divergence_text())
-            if mux.phase == READY:
-                overhead_meter = mux.secondary.meter
-                before = overhead_meter.snapshot()
-                mux.cutover()  # re-checks late churn; may fail
-                if mux.phase == FAILED:
-                    return self._rollback_locked(
-                        JOB_FAILED, self._divergence_text())
-                job.overhead_ns += overhead_meter.diff(before).total_time()
-                inst = served.instance
-                inst.index = mux.primary
-                inst.status_probe = None
-                served.index_name = self.dst_name
-                inst.advance(SERVING,
-                             f"job {job.job_id}: {job.kind} -> "
-                             f"{self.dst_name} cut over")
-                self.server._publish(
-                    KIND_CUTOVER, source=served.instance.name,
-                    t_ns=inst.index.meter.total_time(),
-                    job_id=job.job_id, dst=self.dst_name,
-                    verify_keys=mux.verify_keys,
-                    reverify_keys=mux.reverify_keys)
-                job.verified_fraction = 1.0
-                job.eta_ns = 0.0
-                job.done_keys = job.total_keys = mux.backfill_keys \
-                    + mux.verify_keys
-                job.state = JOB_DONE
-                return True
-            # DONE/DETACHED cannot be reached while the runner owns the
-            # multiplexer; treat defensively as finished.
-            return self._rollback_locked(JOB_FAILED,
-                                         f"unexpected phase {mux.phase!r}")
+            return migration.finished
 
     def _attach(self) -> bool:
         job, served = self.job, self.served
@@ -391,23 +352,42 @@ class _RebuildRunner:
             return True
         name = resolve_index_name(job.dst) if job.dst else served.index_name
         spec = REGISTRY.get(name)
-        self.dst_name = spec.name
         secondary = self.factory() if self.factory else spec.factory()
         secondary.meter = SyncedMeter.adopt(secondary.meter)
         with _write(served.lock):
-            primary = inst.index
-            self.original = primary
-            mux = MultiplexIndex(primary, secondary, chunk=job.chunk,
+            original = inst.index
+            mux = MultiplexIndex(original, secondary, chunk=job.chunk,
                                  pump_per_op=0, auto_cutover=False)
-            mux.progress_sink = (
-                lambda stage, done, total:
-                inst.note_backfill(done, total, stage=stage))
+
+            def cut_over() -> Dict[str, Any]:
+                inst.index = mux.primary
+                served.index_name = spec.name
+                inst.advance(SERVING, f"job {job.job_id}: {job.kind} -> "
+                                      f"{spec.name} cut over")
+                job.verified_fraction = 1.0
+                job.eta_ns = 0.0
+                job.done_keys = job.total_keys = (mux.backfill_keys
+                                                  + mux.verify_keys)
+                job.state = JOB_DONE
+                return {"job_id": job.job_id, "dst": spec.name,
+                        "verify_keys": mux.verify_keys,
+                        "reverify_keys": mux.reverify_keys}
+
+            def roll_back() -> None:
+                why = self.migration.error
+                state = JOB_ABORTED if job.abort_requested else JOB_FAILED
+                inst.index = original
+                inst.advance(SERVING, f"job {job.job_id} {state}: {why}")
+                if state == JOB_FAILED:
+                    job.error = why
+                job.state = state
+
             inst.index = mux
-            inst.status_probe = mux.status
+            self.migration = MigrationJob(mux, inst, cut_over, roll_back,
+                                          bus=self.server.bus)
             inst.advance(MIGRATING,
                          f"job {job.job_id}: {job.kind} -> {spec.name}")
-            job.total_keys = 2 * len(primary)
-        self.mux = mux
+            job.total_keys = 2 * len(original)
         return False
 
     def _note_progress(self) -> None:
@@ -417,27 +397,6 @@ class _RebuildRunner:
         job.total_keys = 2 * primary_size
         job.verified_fraction = min(1.0, mux.verify_keys / primary_size)
         job.eta_ns = _eta(job.overhead_ns, job.done_keys, job.total_keys)
-
-    def _divergence_text(self) -> str:
-        if self.mux.divergences:
-            return self.mux.divergences[0].describe()
-        return "migration failed"
-
-    def _rollback_locked(self, state: str, why: str) -> bool:
-        """Detach the secondary and resume service on the original
-        index; caller holds the write lock."""
-        job, served = self.job, self.served
-        inst = served.instance
-        mux = self.mux
-        if mux.phase not in (DONE, DETACHED):
-            mux.abort()
-        inst.index = self.original
-        inst.status_probe = None
-        inst.advance(SERVING, f"job {job.job_id} {state}: {why}")
-        if state == JOB_FAILED:
-            job.error = why
-        job.state = state
-        return True
 
 
 class _write:
@@ -879,10 +838,6 @@ class IndexServer:
             verified_fraction=round(job.verified_fraction, 6),
             eta_ns=job.eta_ns, queue_depth=self._queue.qsize(),
             error=job.error)
-
-    def _publish(self, kind: str, **payload: Any) -> None:
-        if self.bus is not None:
-            self.bus.publish(kind, **payload)
 
     # -- status --------------------------------------------------------------
 

@@ -19,7 +19,8 @@ parts that already exist:
 * split/merge/migrate — a hot shard splits into two halves, a cold
   adjacent pair merges into one; both are executed as *live migrations*
   through :class:`~repro.indexes.multiplex.MultiplexIndex` (dual writes,
-  interleaved backfill, oracle-style verify, atomic cutover), so a
+  interleaved backfill, oracle-style verify, atomic cutover), driven by
+  the shared :class:`~repro.core.migrate.MigrationJob`, so a
   rebalancing shard keeps serving every op (``cutover_stall_ops == 0``
   by construction).
 * :class:`ShardRouter` — the control plane: per-shard
@@ -42,6 +43,7 @@ from __future__ import annotations
 
 import bisect
 import hashlib
+import statistics
 import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from contextlib import contextmanager
@@ -56,16 +58,15 @@ from repro.core.instance import (
     SERVING,
     IndexInstance,
 )
+from repro.core.migrate import MigrationJob
 from repro.core.registry import REGISTRY
-from repro.core.runner import ExecutionObserver, OpEvent, execute
+from repro.core.runner import ExecutionObserver, OpEvent, apply_op, execute
 from repro.core.slo import SLOTracker
 from repro.core.sweep import DatasetSpec, resolve_jobs
 from repro.core.workloads import (
     DELETE,
     INSERT,
     LOOKUP,
-    SCAN,
-    UPDATE,
     Workload,
     payload,
 )
@@ -77,7 +78,7 @@ from repro.indexes.base import (
     POINTER_BYTES,
     Value,
 )
-from repro.indexes.multiplex import DONE, FAILED, READY, MultiplexIndex
+from repro.indexes.multiplex import DONE, READY, MultiplexIndex
 
 __all__ = [
     "ClusterMeter", "Rebalance", "RouterReport", "ShardBatchTask",
@@ -390,15 +391,22 @@ class Rebalance:
     kind: str  # "split" | "merge"
     #: The slot instance currently holding the multiplexer.
     instance: IndexInstance
-    mux: MultiplexIndex
     #: Split key (split) / removed boundary (merge) — the abort restore point.
     mid: Key
     #: Migration targets: two halves (split) or one combined index (merge).
     children: List[OrderedIndex]
     #: Merge only: the two neighbor instances absorbed into the slot.
     retired_instances: List[IndexInstance] = field(default_factory=list)
+    #: The shard slots that replaced ``instance`` at cutover.
+    new_instances: List[IndexInstance] = field(default_factory=list)
+    #: The driver pumping, cutting over or rolling back this rebalance.
+    job: Optional[MigrationJob] = None
     done: bool = False
     aborted: bool = False
+
+    @property
+    def mux(self) -> MultiplexIndex:
+        return self.job.mux
 
 
 class ShardedIndex(OrderedIndex):
@@ -706,11 +714,8 @@ class ShardedIndex(OrderedIndex):
         view = _RangeView([left, right], [mid], meter=overhead)
         mux = MultiplexIndex(primary, view, chunk=self.chunk, pump_per_op=1)
         inst.advance(MIGRATING, f"splitting at key {mid}")
-        mux.progress_sink = inst.note_backfill
-        inst.status_probe = mux.status
         inst.index = mux
-        self._invalidate_batch_cache()
-        return Rebalance("split", inst, mux, mid, [left, right])
+        return self._start(Rebalance("split", inst, mid, [left, right]), mux)
 
     def begin_merge(self, sid: int) -> Rebalance:
         """Start merging shards ``sid`` and ``sid+1`` into one (live).
@@ -741,59 +746,59 @@ class ShardedIndex(OrderedIndex):
         if self.bus is not None:
             combined.attach_bus(self.bus)
         combined.advance(MIGRATING, f"absorbing {a.name} + {b.name}")
-        mux.progress_sink = combined.note_backfill
-        combined.status_probe = mux.status
         self.shards[sid:sid + 2] = [combined]
         del self.map.boundaries[sid]
+        return self._start(Rebalance("merge", combined, boundary, [target],
+                                     retired_instances=[a, b]), mux)
+
+    def _start(self, rb: Rebalance, mux: MultiplexIndex) -> Rebalance:
+        rb.job = MigrationJob(mux, rb.instance,
+                              on_cutover=lambda: self._cut_over(rb),
+                              on_rollback=lambda: self._roll_back(rb),
+                              bus=self.bus)
         self._invalidate_batch_cache()
-        return Rebalance("merge", combined, mux, boundary, [target],
-                         retired_instances=[a, b])
+        return rb
 
     def finish_rebalance(self, rb: Rebalance) -> List[IndexInstance]:
-        """Cut over a READY/DONE rebalance; returns the new shard slots."""
-        mux = rb.mux
-        if mux.phase == READY:
-            mux.cutover()
-        if mux.phase != DONE:
+        """Cut over a READY/DONE rebalance; returns the new shard slots
+        (none when the cutover's last re-check diverged and rolled the
+        rebalance back)."""
+        if rb.mux.phase not in (READY, DONE):
             raise RuntimeError(
-                f"rebalance not ready to finish (phase={mux.phase!r})")
+                f"rebalance not ready to finish (phase={rb.mux.phase!r})")
+        rb.job.step()
+        return rb.new_instances
+
+    def abort_rebalance(self, rb: Rebalance) -> None:
+        """Roll a diverged/unwanted rebalance back to the prior layout."""
+        rb.job.abort("rebalance aborted")
+
+    def _cut_over(self, rb: Rebalance) -> Dict[str, Any]:
+        """Slot swap at cutover: the migration targets replace the slot."""
         sid = self.shards.index(rb.instance)
-        self.cutover_stall_ops += mux.cutover_stall_ops
-        rb.instance.status_probe = None
+        self.cutover_stall_ops += rb.mux.cutover_stall_ops
+        rb.new_instances = [self._wrap_serving(child) for child in rb.children]
+        self.shards[sid:sid + 1] = rb.new_instances
         if rb.kind == "split":
-            new_insts = [self._wrap_serving(child) for child in rb.children]
-            self.shards[sid:sid + 1] = new_insts
             self.map.boundaries.insert(sid, rb.mid)
             rb.instance.advance(DRAINING, "split cut over")
             rb.instance.advance(RETIRED, "split complete")
             self.splits += 1
         else:
-            new_insts = [self._wrap_serving(rb.children[0])]
-            self.shards[sid:sid + 1] = new_insts
             for inst in rb.retired_instances:
                 inst.advance(RETIRED, "merged away")
             rb.instance.advance(DRAINING, "merge cut over")
             rb.instance.advance(RETIRED, "merge complete")
             self.merges += 1
-        if self.bus is not None:
-            self.bus.publish(
-                "cutover", source=rb.instance.name,
-                t_ns=self.meter.total_time(), op_seq=mux.cutover_seq,
-                rebalance=rb.kind)
         rb.done = True
         self._invalidate_batch_cache()
-        return new_insts
+        return {"t_ns": self.meter.total_time(), "rebalance": rb.kind}
 
-    def abort_rebalance(self, rb: Rebalance) -> None:
-        """Roll a diverged/unwanted rebalance back to the prior layout."""
-        mux = rb.mux
-        if mux.phase == DONE:
-            raise RuntimeError("cannot abort a finished rebalance")
-        mux.abort()
+    def _roll_back(self, rb: Rebalance) -> None:
+        """Slot swap at abort: the prior layout comes back."""
         sid = self.shards.index(rb.instance)
-        rb.instance.status_probe = None
         if rb.kind == "split":
-            rb.instance.index = mux.primary
+            rb.instance.index = rb.mux.primary
             rb.instance.advance(SERVING, "split aborted")
         else:
             a, b = rb.retired_instances
@@ -831,24 +836,6 @@ class _ShardProbe:
     def __init__(self, inst: IndexInstance) -> None:
         self.name = inst.name
         self.meter = _ShardClock(inst)
-
-
-def _apply_op(index: OrderedIndex, op: Any) -> Tuple[bool, int, Any]:
-    """Execute one workload op with the engine's dispatch semantics."""
-    kind = op.op
-    if kind == LOOKUP:
-        value = index.lookup(op.key)
-        return value is not None, 0, value
-    if kind == INSERT:
-        return bool(index.insert(op.key, op.value)), 0, None
-    if kind == UPDATE:
-        return bool(index.update(op.key, op.value)), 0, None
-    if kind == DELETE:
-        return bool(index.delete(op.key)), 0, None
-    if kind == SCAN:
-        rows = index.range_scan(op.key, op.count)
-        return True, len(rows), rows
-    raise ValueError(f"unknown op kind {kind!r}")
 
 
 @dataclass
@@ -972,13 +959,11 @@ class ShardRouter:
     def _pump_active(self) -> None:
         rb = self.active
         assert rb is not None
-        mux = rb.mux
-        budget = self.pump_budget
-        while budget > 0 and mux.phase not in (READY, DONE, FAILED):
-            budget -= max(mux.pump(), 1)
-        if mux.phase in (READY, DONE):
+        if rb.mux.phase not in (READY, DONE):
+            rb.job.step(self.pump_budget)
+        if rb.mux.phase in (READY, DONE):
             self._finish_active()
-        elif mux.phase == FAILED:
+        elif rb.aborted:
             self._abort_active()
 
     def _finish_active(self) -> None:
@@ -988,6 +973,9 @@ class ShardRouter:
         # their clocks, so no tracker ever sees a non-monotonic reading.
         self._untrack(rb.instance)
         new_insts = self.sharded.finish_rebalance(rb)
+        if rb.aborted:  # the cutover's last re-check diverged
+            self._abort_active()
+            return
         for inst in new_insts:
             self._track(inst)
         self._log("rebalance_finished", kind=rb.kind,
@@ -1000,7 +988,6 @@ class ShardRouter:
         rb = self.active
         assert rb is not None
         self._untrack(rb.instance)
-        self.sharded.abort_rebalance(rb)
         if rb.kind == "split":
             self._track(rb.instance)
         else:
@@ -1082,7 +1069,7 @@ class ShardRouter:
                 rejected += 1  # never expected: SERVING/MIGRATING admit all
                 continue
             prev = sharded.last_op
-            ok, scanned, result = _apply_op(sharded, op)
+            ok, scanned, result = apply_op(sharded, op)
             record = sharded.last_op if sharded.last_op is not prev else None
             event = OpEvent(seq=self._seq, op=op, record=record, ok=ok,
                             scanned=scanned, result=result)
@@ -1401,11 +1388,6 @@ def scaling_benchmark(index: str = "ALEX", dataset: str = "covid",
     }
 
 
-def _median(values: Sequence[float]) -> float:
-    ordered = sorted(values)
-    return ordered[len(ordered) // 2] if ordered else 0.0
-
-
 def rebalance_benchmark(index: str = "ALEX", dataset: str = "covid",
                         n: int = 12000, ops: int = 10000, shards: int = 4,
                         window_ops: int = 512, seed: int = 0,
@@ -1433,8 +1415,9 @@ def rebalance_benchmark(index: str = "ALEX", dataset: str = "covid",
     report = router.run(workload, oracle=oracle)
     series = report.p99_series(LOOKUP)
     warm_windows = max(1, int(ops * warm_frac) // router.slo_window)
-    pre = _median(series[:warm_windows]) if series else 0.0
-    post = _median(series[-min(3, len(series)):]) if series else 0.0
+    pre = statistics.median_high(series[:warm_windows]) if series else 0.0
+    post = (statistics.median_high(series[-min(3, len(series)):])
+            if series else 0.0)
     peak = max(series) if series else 0.0
     ratio = post / pre if pre > 0 else float("inf")
     return {

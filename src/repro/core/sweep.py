@@ -49,6 +49,7 @@ from functools import lru_cache
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.core import cost, results
+from repro.core.bench_history import _canonical
 from repro.core.results import full_record, result_from_record
 from repro.core.runner import ExecutionObserver, LatencyStats, RunResult, execute
 from repro.core.workloads import (
@@ -244,10 +245,6 @@ def plan_grid(
 # ---------------------------------------------------------------------------
 # Content addressing
 # ---------------------------------------------------------------------------
-
-def _canonical(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
-
 
 def cache_key(task: SweepTask) -> str:
     """SHA-256 content address of a task's *result*.

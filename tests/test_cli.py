@@ -485,6 +485,15 @@ def test_top_shards_cluster_view(capsys):
     assert "B+tree/s1" in out
 
 
+def test_top_shards_survives_rebalances_on_the_bus(capsys):
+    # ALEX on four shards splits under the moving hotspot; every split
+    # reports progress through the bus the tower folds.
+    code, out = _run(capsys, "top", "--shards", "4", "--index", "ALEX",
+                     "--workload", "hotspot", "--dataset", "covid",
+                     "--n", "3000", "--ops", "3000", "--once")
+    assert code == 0
+    assert "shard cluster" in out
+
 def test_top_shards_json(capsys):
     import json
 
@@ -495,3 +504,29 @@ def test_top_shards_json(capsys):
     doc = json.loads(out)
     assert "tower" in doc and "cluster" in doc
     assert len(doc["cluster"]["shards"]) >= 2
+
+
+@pytest.mark.parametrize("argv", [
+    ("sweep", "--datasets", "covid", "--workloads", "balanced",
+     "--indexes", "B+tree", "--n", "800", "--ops", "300", "--jobs", "1",
+     "--no-cache"),
+    ("migrate", "btree", "alex", "--dataset", "covid", "--n", "600",
+     "--ops", "400", "--workload", "churn:0.3"),
+    ("shard", "--index", "B+tree", "--dataset", "covid", "--n", "4000",
+     "--lookups", "2000", "--ops", "4000", "--shard-counts", "1,2"),
+    ("serve", "--index", "B+tree", "--dataset", "covid", "--n", "800",
+     "--clients", "2", "--ops", "200"),
+], ids=lambda argv: argv[0])
+def test_json_stdout_is_one_document_under_the_history_gate(
+        argv, tmp_path, capsys):
+    import json
+
+    extra = ["--out", str(tmp_path / "bench.json")] \
+        if argv[0] in ("shard", "serve") else []
+    code = main([*argv, *extra, "--json",
+                 "--history", str(tmp_path / "hist.jsonl"), "--check"])
+    captured = capsys.readouterr()
+    assert code == 0
+    json.loads(captured.out)
+    assert "no regressions" in captured.err
+    assert "history: appended to" in captured.err

@@ -32,6 +32,8 @@ from repro.core.server import (
     run_serve_session,
 )
 from repro.core.workloads import LOOKUP, payload
+from repro.indexes.btree import BPlusTree
+from repro.indexes.multiplex import MultiplexIndex
 from tests.server_harness import (
     build_session,
     check_session,
@@ -206,6 +208,50 @@ def test_divergence_fails_job_and_rolls_back():
         assert inst.index is original
         assert server.lookup("t", poisoned) == payload(poisoned)
         assert not server.replay_check("t")
+
+
+
+class _CrashingBTree(BPlusTree):
+    """A rebuild secondary whose 300th insert raises (a crashed job)."""
+
+    def __init__(self):
+        super().__init__()
+        self.inserts = 0
+
+    def insert(self, key, value):
+        self.inserts += 1
+        if self.inserts == 300:
+            raise RuntimeError("injected secondary crash")
+        return super().insert(key, value)
+
+
+def test_crashed_rebuild_rolls_back_to_the_original_index():
+    items = _items(n=600)
+    secondaries = []
+
+    def crashing():
+        secondaries.append(_CrashingBTree())
+        return secondaries[-1]
+
+    with _manual_server(chunk=128) as server:
+        inst = server.create_instance("t", "B+tree", items=items)
+        original = inst.index
+        job = server.rebuild("t", factory=crashing)
+        server.drain()
+        assert job.state == JOB_FAILED
+        assert "injected secondary crash" in job.error
+        assert inst.state == SERVING
+        assert inst.index is original
+        assert not isinstance(inst.index, MultiplexIndex)
+        # A later write reaches only the original index.
+        crashed = secondaries[0]
+        size = len(crashed)
+        fresh = items[-1][0] + 1
+        assert server.insert("t", fresh, payload(fresh))
+        assert original.lookup(fresh) == payload(fresh)
+        assert len(crashed) == size and crashed.inserts == 300
+        assert not server.replay_check("t")
+        assert inst.index.debug_validate() == []
 
 
 # -- admission during a background bulk load -----------------------------------

@@ -233,6 +233,35 @@ def test_split_preserves_items_with_zero_stall():
     assert s.debug_validate() == []
 
 
+
+def test_bus_attached_split_and_merge_report_typed_progress():
+    from repro.core.events import KIND_BACKFILL_CHUNK, KIND_CUTOVER, EventBus
+
+    bus = EventBus()
+    s = ShardedIndex("B+tree", n_shards=2).attach_bus(bus)
+    s.bulk_load(ITEMS[:1500])
+    slots = []
+    for begin in (s.begin_split, s.begin_merge):
+        rb = begin(0)
+        slots.append(rb.instance)
+        _pump_to_ready(rb.mux)
+        assert s.finish_rebalance(rb)
+    assert s.map.n_shards == 2 and s.splits == 1 and s.merges == 1
+    assert s.items() == ITEMS[:1500]
+    assert s.debug_validate() == []
+    for inst in slots:
+        progress = [e for e in inst.events if e["event"] == "progress"]
+        assert progress, inst.name
+        for e in progress:
+            assert isinstance(e["stage"], str)
+            assert isinstance(e["done"], int) and isinstance(e["total"], int)
+        assert {e["stage"] for e in progress} >= {"backfill", "verify"}
+    chunks = bus.events(kind=KIND_BACKFILL_CHUNK)
+    assert chunks and all(0.0 <= c["fraction"] <= 1.0 for c in chunks)
+    cuts = bus.events(kind=KIND_CUTOVER)
+    assert [c["rebalance"] for c in cuts] == ["split", "merge"]
+
+
 def test_merge_preserves_items_with_zero_stall():
     s = ShardedIndex("B+tree", n_shards=3)
     s.bulk_load(ITEMS[:1500])
