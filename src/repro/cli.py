@@ -330,9 +330,10 @@ def cmd_run(args) -> int:
         from repro.core.slo import SLOTracker
 
         bus = EventBus()
-        slo = SLOTracker(bus=bus, window_ops=getattr(args, "window", 256))
+        slo = SLOTracker(bus=bus, window_ops=args.window)
         target = bus.attach_instance(IndexInstance.wrap(factory()))
-        r = execute(target, wl, telemetry=telemetry, bus=bus, observers=[slo])
+        r = execute(target, wl, telemetry=telemetry, bus=bus,
+                    bus_window=args.window, observers=[slo])
     else:
         r = execute(factory(), wl, telemetry=telemetry)
     _save_telemetry(args, telemetry)
@@ -1108,7 +1109,8 @@ def build_parser() -> argparse.ArgumentParser:
                     help="write windowed throughput/SMO-rate/memory "
                          "time-series as versioned JSON-lines")
     sp.add_argument("--window", type=int, default=256,
-                    help="ops per metrics window")
+                    help="ops per window: sets the --metrics windows and "
+                         "the --events SLO and op_window windows")
     sp.add_argument("--events", default="",
                     help="attach an event bus + SLO tracker and write "
                          "the operational event log (state changes, op "

@@ -37,10 +37,10 @@ from __future__ import annotations
 
 import threading
 from collections import deque
-from typing import Any, Callable, Dict, Iterable, List, Optional
+from typing import Any, Callable, Iterable, List, Optional
 
 from repro.core.results import save_jsonl
-from repro.core.runner import ExecutionObserver, OpEvent
+from repro.core.runner import OpEvent, WindowedObserver
 
 __all__ = [
     "EVENT_KINDS",
@@ -184,7 +184,7 @@ class EventBus:
     # -- emitters --------------------------------------------------------------
 
     def engine_observer(self, window_ops: int = 256) -> "EngineBusEmitter":
-        """An :class:`~repro.core.runner.ExecutionObserver` publishing
+        """A :class:`~repro.core.runner.WindowedObserver` publishing
         this run's phase/op-window/SMO events into the bus."""
         return EngineBusEmitter(self, window_ops=window_ops)
 
@@ -196,7 +196,7 @@ class EventBus:
         return instance
 
 
-class EngineBusEmitter(ExecutionObserver):
+class EngineBusEmitter(WindowedObserver):
     """Publishes one run's engine stream into a bus.
 
     Per-op events would dwarf everything else in the ring, so ops are
@@ -207,61 +207,31 @@ class EngineBusEmitter(ExecutionObserver):
     """
 
     def __init__(self, bus: EventBus, window_ops: int = 256) -> None:
-        if window_ops < 1:
-            raise ValueError("window_ops must be >= 1")
+        super().__init__(window_ops)
         self.bus = bus
-        self.window_ops = window_ops
-        self._meter = None
-        self._source = ""
-        self._win_start_ns = 0.0
-        self._win_ops = 0
-        self._win_ok = 0
-        self._win_counts: Dict[str, int] = {}
-
-    def _now(self) -> float:
-        return self._meter.total_time() if self._meter is not None else 0.0
 
     def on_phase(self, phase: str, index, workload) -> None:
-        self._meter = index.meter
-        self._source = getattr(index, "name", type(index).__name__)
-        if phase == "measure":
-            self._win_start_ns = self._now()
-        elif phase == "done" and self._win_ops:
-            self._close_window()
+        super().on_phase(phase, index, workload)
         self.bus.publish(
-            KIND_PHASE, source=self._source, t_ns=self._now(),
+            KIND_PHASE, source=self._source, t_ns=self._meter.total_time(),
             phase=phase, workload=getattr(workload, "name", ""))
 
-    def on_op(self, event: OpEvent, latency) -> None:
-        kind = event.op.op
-        self._win_counts[kind] = self._win_counts.get(kind, 0) + 1
-        self._win_ops += 1
-        if event.ok:
-            self._win_ok += 1
-        if self._win_ops >= self.window_ops:
-            self._close_window()
-
     def on_smo(self, event: OpEvent) -> None:
+        super().on_smo(event)
         record = event.record
         self.bus.publish(
-            KIND_SMO, source=self._source, t_ns=self._now(),
+            KIND_SMO, source=self._source, t_ns=self._meter.total_time(),
             op_seq=event.seq, op=event.op.op,
             nodes_created=getattr(record, "nodes_created", 0),
             keys_shifted=getattr(record, "keys_shifted", 0))
 
-    def _close_window(self) -> None:
-        now = self._now()
+    def on_window(self, now: float) -> None:
         dur = now - self._win_start_ns
-        ops_per_vsec = (self._win_ops / (dur / 1e9)) if dur > 0 else 0.0
         self.bus.publish(
             KIND_OP_WINDOW, source=self._source, t_ns=now,
             window_start_ns=self._win_start_ns, ops=self._win_ops,
-            ok=self._win_ok, op_counts=dict(self._win_counts),
-            ops_per_vsec=ops_per_vsec)
-        self._win_start_ns = now
-        self._win_ops = 0
-        self._win_ok = 0
-        self._win_counts = {}
+            ok=self._win_ok, op_counts=self._win_counts,
+            ops_per_vsec=(self._win_ops / (dur / 1e9)) if dur > 0 else 0.0)
 
 
 def validate_bus_events(records: Iterable[dict]) -> int:

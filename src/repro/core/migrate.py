@@ -378,8 +378,12 @@ def run_migration(
     receives the migration's full event stream: instance state changes,
     backfill/verify chunks and admission rejections (via the attached
     instances), plus ``op_window`` throughput windows every
-    ``bus_window`` applied ops and one ``cutover`` event.  Both
-    instances get a live ``status_probe`` into the multiplexer, so
+    ``bus_window`` applied ops and one ``cutover`` event.  Windows run
+    on the client meter: the cutover flushes the open window to the
+    source and starts the next one on the destination's clock, and the
+    stream's end flushes the last one, so the windows' ``ops`` add up
+    to the admitted client ops.  Both instances get a live
+    ``status_probe`` into the multiplexer, so
     ``IndexInstance.status()`` reports the in-flight backfill cursor
     and dirty-set size.  All of it reads the meters without charging —
     the report is identical with or without a bus.
@@ -411,6 +415,8 @@ def run_migration(
     def cut_over() -> Dict[str, Any]:
         nonlocal serving
         serving = target
+        if windows is not None:
+            windows.start_window(mux.meter, target.name)
         report.cutover_seq = at
         target.advance(SERVING, f"cutover at op #{at}")
         source.advance(DRAINING, "replaced by target")
@@ -433,10 +439,11 @@ def run_migration(
 
     differ = DifferentialObserver(limit=oracle_limit)
     differ.on_phase("measure", None, workload)
+    windows = None
+    if bus is not None:
+        windows = bus.engine_observer(window_ops=bus_window)
+        windows.start_window(mux.meter, source.name)
 
-    win_meter = None
-    win_start = 0.0
-    win_ops = 0
     for seq, op in enumerate(workload.operations):
         try:
             serving.admit(op.op)
@@ -458,26 +465,10 @@ def run_migration(
         else:
             report.writes += 1
         applied.append(op)
-        if bus is not None:
-            # Throughput windows on the *client* meter.  The meter
-            # swaps identity at cutover; restart the window there so a
-            # duration never spans two clocks.
-            if win_meter is not client_meter:
-                win_meter = client_meter
-                win_start = client0
-                win_ops = 0
-            win_ops += 1
-            if win_ops >= bus_window:
-                now = client_meter.total_time()
-                dur = now - win_start
-                bus.publish(
-                    "op_window", source=serving.name, t_ns=now,
-                    window_start_ns=win_start, ops=win_ops,
-                    ops_per_vsec=(win_ops / (dur / 1e9)) if dur > 0 else 0.0)
-                win_start = now
-                win_ops = 0
         event = OpEvent(seq=seq, op=op, record=None, ok=ok,
                         scanned=scanned, result=result)
+        if windows is not None:
+            windows.on_op(event, None)
         differ.on_op(event, None)
         if abort_seq is not None:
             report.post_abort_ops += 1
@@ -487,6 +478,8 @@ def run_migration(
             at = seq
             job.step(0)
 
+    if windows is not None:
+        windows.flush()
     # Traffic ended before the pump finished: drain the remaining
     # backfill/verify chunks (still overhead-metered) and cut over.
     at = len(applied)

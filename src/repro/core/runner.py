@@ -8,11 +8,13 @@ latencies are sampled from ~1% of operations.
 
 Measurement is structured as an :class:`ExecutionEngine` applying each
 op through :func:`apply_op` (the one op-semantics function, shared by
-the migration, sharding and serving layers), with every metric
-collected by an :class:`ExecutionObserver`.  Latency sampling, Table-3 insert
-statistics and scan accounting are stock observers; downstream users
-(trace replay, diagnostics, future sharded/async runners) attach their
-own without touching the loop::
+the migration, sharding and serving layers) and fanning it out through
+:func:`observe_op` (shared with the shard router), with every metric
+collected by an :class:`ExecutionObserver`.  Observers that report in
+windows of ops derive from :class:`WindowedObserver`.  Latency
+sampling, Table-3 insert statistics and scan accounting are stock
+observers; downstream users (trace replay, diagnostics, future
+sharded/async runners) attach their own without touching the loop::
 
     class OpCounter(ExecutionObserver):
         def __init__(self):
@@ -266,6 +268,125 @@ class ExecutionObserver:
         structural modification."""
 
 
+def observe_op(
+    index: Any,
+    op: Operation,
+    seq: int,
+    observers: Sequence[ExecutionObserver],
+    meter=None,
+) -> None:
+    """Apply one op and fan its :class:`OpEvent` out to ``observers``:
+    ``on_op`` on each, then ``on_smo`` on each when the op's record
+    flagged a structural modification.
+
+    The one op fan-out, shared by the engine and the shard router.
+    With a ``meter`` the op is timed and its virtual cost is passed to
+    ``on_op`` as ``latency``; without one ``latency`` is ``None``.
+    """
+    before = meter.total_time() if meter is not None else 0.0
+    prev_record = index.last_op
+    ok, scanned, result = apply_op(index, op)
+    latency = meter.total_time() - before if meter is not None else None
+    # Indexes assign a *new* OpRecord whenever they record an op, so
+    # identity against the pre-op object detects staleness (update/scan
+    # paths that never wrote last_op).
+    record = index.last_op if index.last_op is not prev_record else None
+    event = OpEvent(seq=seq, op=op, record=record, ok=ok, scanned=scanned,
+                    result=result)
+    for obs in observers:
+        obs.on_op(event, latency)
+    if (op.op == INSERT or op.op == DELETE) and record is not None and record.smo:
+        for obs in observers:
+            obs.on_smo(event)
+
+
+def storm_threshold(rates: Sequence[float], factor: float,
+                    min_rate: float) -> Tuple[float, float]:
+    """The one SMO-storm rule: ``(baseline, threshold)`` over window
+    SMO ``rates``.
+
+    The baseline is the *median* rate (unlike the mean it stays calm
+    even when storms dominate the total SMO count); a window is hot
+    when its rate exceeds ``max(min_rate, factor x baseline)``.
+    ``rates`` must not be empty.
+    """
+    baseline = sorted(rates)[len(rates) // 2]
+    return baseline, max(min_rate, factor * baseline)
+
+
+class WindowedObserver(ExecutionObserver):
+    """Base for observers that report every ``window_ops`` operations.
+
+    The one window loop.  It takes the clock (the index's meter) and the
+    source name at each phase, counts every op in O(1) (ops, ok ops,
+    SMOs, ops per kind), closes a window every ``window_ops`` ops and
+    flushes the partial window at ``"done"``.  :meth:`start_window`
+    moves the window onto another clock, flushing the open one first —
+    a migration cutover swaps the client meter, a shard router opens one
+    tracker per shard slot.  Subclasses implement :meth:`on_window`,
+    which turns the closed window into output; the counts reset after
+    it returns.  Only reads the meter, never charges it.
+    """
+
+    def __init__(self, window_ops: int = 256) -> None:
+        if window_ops < 1:
+            raise ValueError("window_ops must be >= 1")
+        self.window_ops = window_ops
+        self._meter = None
+        self._source = ""
+        self._win_start_ns = 0.0
+        self._win_ops = 0
+        self._win_ok = 0
+        self._win_smos = 0
+        self._win_counts: Dict[str, int] = {}
+
+    def on_phase(self, phase: str, index: OrderedIndex, workload: Workload) -> None:
+        source = getattr(index, "name", type(index).__name__)
+        if phase == "measure":
+            self.start_window(index.meter, source)
+            return
+        self._meter = index.meter
+        self._source = source
+        if phase == "done":
+            self.flush()
+
+    def on_op(self, event: OpEvent, latency: Optional[float]) -> None:
+        counts = self._win_counts
+        kind = event.op.op
+        counts[kind] = counts.get(kind, 0) + 1
+        if event.ok:
+            self._win_ok += 1
+        self._win_ops += 1
+        if self._win_ops >= self.window_ops:
+            self.flush()
+
+    def on_smo(self, event: OpEvent) -> None:
+        self._win_smos += 1
+
+    def start_window(self, meter, source: str) -> None:
+        """Flush the open window, then open the next one on ``meter``'s
+        clock, reported as ``source``."""
+        self.flush()
+        self._meter = meter
+        self._source = source
+        self._win_start_ns = meter.total_time()
+
+    def flush(self) -> None:
+        """Close the open window now, if it holds any op."""
+        if not self._win_ops:
+            return
+        now = self._meter.total_time()
+        self.on_window(now)
+        self._win_start_ns = now
+        self._win_ops = 0
+        self._win_ok = 0
+        self._win_smos = 0
+        self._win_counts = {}
+
+    def on_window(self, now: float) -> None:
+        """Report the window ``[_win_start_ns, now]`` and its counts."""
+
+
 class LatencySampler(ExecutionObserver):
     """Stock observer: collects sampled lookup/write latencies."""
 
@@ -313,7 +434,7 @@ class ScanAccountant(ExecutionObserver):
 # ---------------------------------------------------------------------------
 
 class ExecutionEngine:
-    """Drives a workload through an index, one :func:`apply_op` per op.
+    """Drives a workload through an index, one :func:`observe_op` per op.
 
     ``sample_every`` controls latency sampling (~1% of ops by default,
     matching the paper).  Sampling snapshots the cost meter around the
@@ -359,31 +480,6 @@ class ExecutionEngine:
 
     # -- the measured loop ------------------------------------------------------
 
-    def _execute_one(
-        self,
-        index: OrderedIndex,
-        op: Operation,
-        seq: int,
-        observers: Sequence[ExecutionObserver],
-        meter,
-    ) -> None:
-        sampled = (seq % self.sample_every) == 0
-        before = meter.total_time() if sampled else 0.0
-        prev_record = index.last_op
-        ok, scanned, result = apply_op(index, op)
-        latency = meter.total_time() - before if sampled else None
-        # Indexes assign a *new* OpRecord whenever they record an op,
-        # so identity against the pre-op object detects staleness
-        # (update/scan paths that never wrote last_op).
-        record = index.last_op if index.last_op is not prev_record else None
-        event = OpEvent(seq=seq, op=op, record=record, ok=ok, scanned=scanned,
-                        result=result)
-        for obs in observers:
-            obs.on_op(event, latency)
-        if (op.op == INSERT or op.op == DELETE) and record is not None and record.smo:
-            for obs in observers:
-                obs.on_smo(event)
-
     def _run_batched(
         self,
         index: OrderedIndex,
@@ -400,7 +496,8 @@ class ExecutionEngine:
         i = 0
         while i < n:
             if ops[i].op != LOOKUP:
-                self._execute_one(index, ops[i], i, observers, meter)
+                observe_op(index, ops[i], i, observers,
+                           meter if i % sample_every == 0 else None)
                 i += 1
                 continue
             j = i + 1
@@ -411,7 +508,8 @@ class ExecutionEngine:
                 batch = index._lookup_batch([ops[k].key for k in range(i, j)])
             if batch is None:
                 for k in range(i, j):
-                    self._execute_one(index, ops[k], k, observers, meter)
+                    observe_op(index, ops[k], k, observers,
+                               meter if k % sample_every == 0 else None)
                 i = j
                 continue
             log = batch.log
@@ -469,8 +567,10 @@ class ExecutionEngine:
         if self.batch_ops > 1:
             self._run_batched(index, workload.operations, observers, meter)
         else:
+            every = self.sample_every
             for i, op in enumerate(workload.operations):
-                self._execute_one(index, op, i, observers, meter)
+                observe_op(index, op, i, observers,
+                           meter if i % every == 0 else None)
         wall = time.perf_counter() - wall0
 
         for obs in observers:

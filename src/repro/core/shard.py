@@ -60,16 +60,10 @@ from repro.core.instance import (
 )
 from repro.core.migrate import MigrationJob
 from repro.core.registry import REGISTRY
-from repro.core.runner import ExecutionObserver, OpEvent, apply_op, execute
+from repro.core.runner import ExecutionObserver, OpEvent, execute, observe_op
 from repro.core.slo import SLOTracker
 from repro.core.sweep import DatasetSpec, resolve_jobs
-from repro.core.workloads import (
-    DELETE,
-    INSERT,
-    LOOKUP,
-    Workload,
-    payload,
-)
+from repro.core.workloads import LOOKUP, Workload, payload
 from repro.indexes.base import (
     KEY_BYTES,
     Key,
@@ -815,29 +809,6 @@ class ShardedIndex(OrderedIndex):
 # Router control plane: per-shard SLO tracking + hotspot rebalancing
 # ---------------------------------------------------------------------------
 
-class _ShardClock:
-    """Meter facade reading a shard slot's *current* index meter.
-
-    A rebalancing slot swaps its inner index (plain -> multiplexer ->
-    plain); reading ``inst.index.meter`` at call time keeps the shard's
-    SLO tracker on whatever clock is serving the slot right now.
-    """
-
-    def __init__(self, inst: IndexInstance) -> None:
-        self._inst = inst
-
-    def total_time(self) -> float:
-        return self._inst.index.meter.total_time()
-
-
-class _ShardProbe:
-    """Duck-typed ``index`` argument for a per-shard SLO tracker."""
-
-    def __init__(self, inst: IndexInstance) -> None:
-        self.name = inst.name
-        self.meter = _ShardClock(inst)
-
-
 @dataclass
 class RouterReport:
     """Everything one routed replay produced."""
@@ -924,29 +895,27 @@ class ShardRouter:
         #: post-run cluster view (``repro top --shards``) can aggregate
         #: the full shard history, not just the survivors.
         self.all_trackers: Dict[str, SLOTracker] = {}
-        self._probes: Dict[str, _ShardProbe] = {}
         self.retired_summaries: Dict[str, dict] = {}
         self.active: Optional[Rebalance] = None
         self.events: List[dict] = []
         self.aborted = 0
-        self._workload: Optional[Workload] = None
         self._seq = 0
 
     # -- tracker lifecycle -----------------------------------------------------
 
     def _track(self, inst: IndexInstance) -> None:
-        probe = _ShardProbe(inst)
+        # The slot's meter stays the same object while its tracker is
+        # open: a rebalance multiplexer reads on its primary's meter,
+        # and trackers close before a cutover swaps it.
         tracker = SLOTracker(window_ops=self.slo_window, bus=self.bus)
-        tracker.on_phase("measure", probe, self._workload)
+        tracker.start_window(inst.index.meter, inst.name)
         self.trackers[inst.name] = tracker
         self.all_trackers[inst.name] = tracker
-        self._probes[inst.name] = probe
 
     def _untrack(self, inst: IndexInstance) -> None:
         tracker = self.trackers.pop(inst.name, None)
-        probe = self._probes.pop(inst.name, None)
-        if tracker is not None and probe is not None:
-            tracker.on_phase("done", probe, self._workload)
+        if tracker is not None:
+            tracker.flush()
             self.retired_summaries[inst.name] = tracker.summary()
 
     def _log(self, decision: str, **details: Any) -> None:
@@ -1048,7 +1017,6 @@ class ShardRouter:
         """Route every op of ``workload``, rebalancing as traffic skews."""
         t0 = time.perf_counter()
         sharded = self.sharded
-        self._workload = workload
         if not sharded.shards:
             sharded.bulk_load(workload.bulk_items)
         if self.bus is not None and sharded.bus is None:
@@ -1068,24 +1036,10 @@ class ShardRouter:
             if not inst.admits(op.op):
                 rejected += 1  # never expected: SERVING/MIGRATING admit all
                 continue
-            prev = sharded.last_op
-            ok, scanned, result = apply_op(sharded, op)
-            record = sharded.last_op if sharded.last_op is not prev else None
-            event = OpEvent(seq=self._seq, op=op, record=record, ok=ok,
-                            scanned=scanned, result=result)
-            self.cluster.on_op(event, None)
             tracker = self.trackers.get(inst.name)
-            if tracker is not None:
-                tracker.on_op(event, None)
-            inst.on_op(event, None)
-            if oracle is not None:
-                oracle.on_op(event, None)
-            if (record is not None and record.smo
-                    and op.op in (INSERT, DELETE)):
-                self.cluster.on_smo(event)
-                if tracker is not None:
-                    tracker.on_smo(event)
-                inst.on_smo(event)
+            observers = [obs for obs in (self.cluster, tracker, inst, oracle)
+                         if obs is not None]
+            observe_op(sharded, op, self._seq, observers)
             self._seq += 1
             win[sid] = win.get(sid, 0) + 1
             win_ops += 1

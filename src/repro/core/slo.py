@@ -10,9 +10,9 @@ into operator-grade state:
   error budget (the ``1 - objective`` fraction of ops allowed over
   threshold) and its **burn rate** (violations consumed vs budget
   granted, per window: burn > 1 means the budget is being spent faster
-  than it accrues), and escalating SMO storms with the same
-  median-baseline rule as
-  :meth:`~repro.core.telemetry.MetricsCollector.smo_storms`.
+  than it accrues), and escalating SMO storms by the one storm rule,
+  :func:`~repro.core.runner.storm_threshold`, that
+  :meth:`~repro.core.telemetry.MetricsCollector.smo_storms` uses too.
 * :class:`ControlTower` — a bus subscriber folding the whole event
   stream (engine windows, instance lifecycle, migration progress, SLO
   windows, alerts) into one live table per source: state, ops,
@@ -52,7 +52,7 @@ from repro.core.events import (
     EventBus,
 )
 from repro.core.report import table
-from repro.core.runner import ExecutionObserver, LatencyStats, OpEvent
+from repro.core.runner import LatencyStats, OpEvent, WindowedObserver, storm_threshold
 
 __all__ = ["Alert", "ControlTower", "SLOTarget", "SLOTracker",
            "cluster_view", "render_cluster_view"]
@@ -99,7 +99,7 @@ class Alert:
         return f"[{self.severity}] {self.source}: {self.message}"
 
 
-class SLOTracker(ExecutionObserver):
+class SLOTracker(WindowedObserver):
     """Windowed SLO evaluation of one run's op stream.
 
     Attach to a run (``observers=[tracker]`` or via ``repro run
@@ -110,9 +110,10 @@ class SLOTracker(ExecutionObserver):
     * ``burn_rate`` — a window consumed its error budget faster than
       granted (burn > 1 warns; burn ≥ ``burn_critical`` is critical).
     * ``smo_storm`` — the window's SMO rate exceeds
-      ``max(storm_min_rate, storm_factor × median prior rate)`` (the
-      PR-3 detector, streamed); ``storm_escalate`` consecutive hot
-      windows escalate the storm to critical.
+      :func:`~repro.core.runner.storm_threshold` over the prior
+      windows' rates, ``max(storm_min_rate, storm_factor × median)``;
+      ``storm_escalate`` consecutive hot windows escalate the storm to
+      critical.
 
     With a ``bus``, every closed window publishes ``slo_window`` events
     and every alert publishes an ``alert`` event.
@@ -129,10 +130,8 @@ class SLOTracker(ExecutionObserver):
         storm_min_rate: float = 0.05,
         storm_escalate: int = 3,
     ) -> None:
-        if window_ops < 1:
-            raise ValueError("window_ops must be >= 1")
+        super().__init__(window_ops)
         self.targets: Dict[str, SLOTarget] = {t.op_kind: t for t in targets}
-        self.window_ops = window_ops
         self.bus = bus
         self.calibration_factor = calibration_factor
         self.burn_critical = burn_critical
@@ -148,26 +147,16 @@ class SLOTracker(ExecutionObserver):
         self.violations: Dict[str, int] = {}
         self.judged_ops: Dict[str, int] = {}
 
-        self._meter = None
-        self._source = ""
         self._last_ns = 0.0
-        self._win_start_ns = 0.0
-        self._win_ops = 0
-        self._win_smos = 0
         self._win_samples: Dict[str, List[float]] = {}
         self._smo_rates: List[float] = []
         self._hot_run = 0
 
     # -- observer hooks --------------------------------------------------------
 
-    def on_phase(self, phase: str, index, workload) -> None:
-        self._meter = index.meter
-        self._source = getattr(index, "name", type(index).__name__)
-        if phase == "measure":
-            self._last_ns = self._meter.total_time()
-            self._win_start_ns = self._last_ns
-        elif phase == "done" and self._win_ops:
-            self._close_window()
+    def start_window(self, meter, source: str) -> None:
+        super().start_window(meter, source)
+        self._last_ns = self._win_start_ns
 
     def on_op(self, event: OpEvent, latency) -> None:
         # Latency is the op's full virtual cost — the delta between
@@ -176,12 +165,7 @@ class SLOTracker(ExecutionObserver):
         now = self._meter.total_time()
         self._win_samples.setdefault(event.op.op, []).append(now - self._last_ns)
         self._last_ns = now
-        self._win_ops += 1
-        if self._win_ops >= self.window_ops:
-            self._close_window()
-
-    def on_smo(self, event: OpEvent) -> None:
-        self._win_smos += 1
+        super().on_op(event, latency)
 
     # -- windows ---------------------------------------------------------------
 
@@ -195,8 +179,7 @@ class SLOTracker(ExecutionObserver):
                              alert=kind, severity=severity, message=message,
                              **details)
 
-    def _close_window(self) -> None:
-        now = self._meter.total_time()
+    def on_window(self, now: float) -> None:
         window = {"t_ns": now, "window_start_ns": self._win_start_ns,
                   "ops": self._win_ops, "smos": self._win_smos,
                   "source": self._source, "ops_kinds": {}}
@@ -237,13 +220,13 @@ class SLOTracker(ExecutionObserver):
         if calibrating:
             self._calibrated = True
 
-        # SMO-storm escalation: the PR-3 median-baseline rule, streamed
-        # over the windows closed so far (>= 3 priors before judging, so
-        # early windows can't self-trigger).
-        rate = self._win_smos / self._win_ops if self._win_ops else 0.0
+        # SMO-storm escalation: the storm rule, streamed over the
+        # windows closed so far (>= 3 priors before judging, so early
+        # windows can't self-trigger).
+        rate = self._win_smos / self._win_ops
         if len(self._smo_rates) >= 3:
-            baseline = sorted(self._smo_rates)[len(self._smo_rates) // 2]
-            threshold = max(self.storm_min_rate, self.storm_factor * baseline)
+            baseline, threshold = storm_threshold(
+                self._smo_rates, self.storm_factor, self.storm_min_rate)
             if rate > threshold:
                 self._hot_run += 1
                 if self._hot_run == 1:
@@ -264,9 +247,6 @@ class SLOTracker(ExecutionObserver):
         self._smo_rates.append(rate)
 
         self.windows.append(window)
-        self._win_start_ns = now
-        self._win_ops = 0
-        self._win_smos = 0
         self._win_samples = {}
 
     # -- reporting -------------------------------------------------------------

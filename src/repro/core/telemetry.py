@@ -34,7 +34,12 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.cost import ALL_PHASES
 from repro.core.report import table
-from repro.core.runner import ExecutionObserver, OpEvent
+from repro.core.runner import (
+    ExecutionObserver,
+    OpEvent,
+    WindowedObserver,
+    storm_threshold,
+)
 
 #: Version stamped into trace/metric telemetry records (independent of
 #: the RunResult schema; bump on incompatible event-layout changes).
@@ -329,7 +334,7 @@ class SmoStorm:
     ops: int = 0
 
 
-class MetricsCollector(ExecutionObserver):
+class MetricsCollector(WindowedObserver):
     """Windowed time-series over a run, backed by a :class:`MetricsRegistry`.
 
     Every ``window_ops`` operations the collector closes a window and
@@ -337,6 +342,9 @@ class MetricsCollector(ExecutionObserver):
     rolling throughput (Mops on the virtual clock), rolling SMO rate
     (SMOs per op) and the index's analytic ``memory_usage()`` total.
     ``series`` holds the samples as dicts ready for ``save_jsonl``.
+    The ``ops_total``/``ops.<kind>``/``ops_failed``/``smo_total``
+    counters advance when a window closes; only the sampled
+    ``op_latency_ns`` histogram is fed per op.
 
     **Thread-safety: none — single-engine-thread only.**  The window
     counters are unlocked read-modify-write state, exactly like the base
@@ -349,63 +357,48 @@ class MetricsCollector(ExecutionObserver):
     """
 
     def __init__(self, window_ops: int = 256) -> None:
-        if window_ops < 1:
-            raise ValueError("window_ops must be >= 1")
-        self.window_ops = window_ops
+        super().__init__(window_ops)
         self.registry = MetricsRegistry()
         self.series: List[dict] = []
         self._index = None
-        self._meter = None
-        self._win_start_ns = 0.0
-        self._win_ops = 0
-        self._win_smos = 0
 
     # -- observer hooks -----------------------------------------------------
 
     def on_phase(self, phase, index, workload) -> None:
         self._index = index
-        self._meter = index.meter
+        super().on_phase(phase, index, workload)
         if phase == "measure":
-            self._win_start_ns = self._meter.total_time()
             self.registry.gauge(METRIC_MEMORY).set(index.memory_usage().total)
-        elif phase == "done" and self._win_ops:
-            self._close_window()
 
     def on_op(self, event: OpEvent, latency: Optional[float]) -> None:
-        reg = self.registry
-        reg.counter("ops_total").inc()
-        reg.counter(f"ops.{event.op.op}").inc()
-        if not event.ok:
-            reg.counter("ops_failed").inc()
         if latency is not None:
-            reg.histogram("op_latency_ns").observe(latency)
-        self._win_ops += 1
-        if self._win_ops >= self.window_ops:
-            self._close_window()
+            self.registry.histogram("op_latency_ns").observe(latency)
+        super().on_op(event, latency)
 
-    def on_smo(self, event: OpEvent) -> None:
-        self.registry.counter("smo_total").inc()
-        self._win_smos += 1
-
-    def _close_window(self) -> None:
-        now = self._meter.total_time()
+    def on_window(self, now: float) -> None:
+        reg = self.registry
+        ops = self._win_ops
+        reg.counter("ops_total").inc(ops)
+        for kind, n in self._win_counts.items():
+            reg.counter(f"ops.{kind}").inc(n)
+        if self._win_ok < ops:
+            reg.counter("ops_failed").inc(ops - self._win_ok)
+        if self._win_smos:
+            reg.counter("smo_total").inc(self._win_smos)
         dur = now - self._win_start_ns
-        mops = (self._win_ops / dur) * 1e3 if dur > 0 else 0.0
+        mops = (ops / dur) * 1e3 if dur > 0 else 0.0
         mem = self._index.memory_usage().total
-        self.registry.gauge(METRIC_MEMORY).set(mem)
+        reg.gauge(METRIC_MEMORY).set(mem)
         for metric, value in (
             (METRIC_THROUGHPUT, mops),
-            (METRIC_SMO_RATE, self._win_smos / self._win_ops),
+            (METRIC_SMO_RATE, self._win_smos / ops),
             (METRIC_MEMORY, mem),
         ):
             self.series.append({
                 "kind": "metric", "metric": metric, "t_ns": now,
                 "window_start_ns": self._win_start_ns, "value": value,
-                "window_ops": self._win_ops,
+                "window_ops": ops,
             })
-        self._win_start_ns = now
-        self._win_ops = 0
-        self._win_smos = 0
 
     # -- analysis -----------------------------------------------------------
 
@@ -416,19 +409,16 @@ class MetricsCollector(ExecutionObserver):
                    min_rate: float = 0.05) -> List[SmoStorm]:
         """Windows whose SMO rate spikes above the run's baseline.
 
-        A window is *hot* when its rate exceeds both ``min_rate`` and
-        ``factor`` x the *median* window rate (the median, unlike the
-        mean, stays a calm baseline even when storms dominate total
-        SMO count); consecutive hot windows merge into one storm.
-        These are the bursts behind the paper's insert tail-latency
-        observations (Figure 10).
+        A window is *hot* by :func:`~repro.core.runner.storm_threshold`
+        over all of the run's window rates; consecutive hot windows
+        merge into one storm.  These are the bursts behind the paper's
+        insert tail-latency observations (Figure 10).
         """
         samples = self.samples(METRIC_SMO_RATE)
         if not samples:
             return []
-        rates = sorted(s["value"] for s in samples)
-        median = rates[len(rates) // 2]
-        threshold = max(min_rate, factor * median)
+        _, threshold = storm_threshold([s["value"] for s in samples],
+                                       factor, min_rate)
         storms: List[SmoStorm] = []
         for s in samples:
             if s["value"] <= threshold:

@@ -351,6 +351,18 @@ def test_run_events_writes_validated_log(tmp_path, capsys):
     assert {"phase", "op_window", "state", "slo_window"} <= kinds
 
 
+def test_run_window_sets_bus_op_windows(tmp_path, capsys):
+    from repro.core.results import load_jsonl
+
+    path = str(tmp_path / "events.jsonl")
+    code, _ = _run(capsys, "run", "--index", "ALEX", "--dataset", "covid",
+                   "--n", "2000", "--ops", "1000", "--window", "64",
+                   "--events", path)
+    assert code == 0
+    ops = [r["ops"] for r in load_jsonl(path) if r["kind"] == "op_window"]
+    assert ops == [64] * 15 + [40]
+
+
 def test_top_replays_a_saved_event_log(tmp_path, capsys):
     import json
 

@@ -244,6 +244,15 @@ def test_migration_publishes_full_stream_without_changing_report():
     assert ("B+tree@0", "retired") in {(e["source"], e["to"]) for e in states}
     windows = bus.events(kind=KIND_OP_WINDOW)
     assert windows and all(w["ops_per_vsec"] > 0 for w in windows)
+    # Cutover flushes the open window to the source and the stream's
+    # end flushes the last one: the windows count every admitted op.
+    assert sum(w["ops"] for w in windows) == wl.n_ops - observed.rejected_ops
+    pre = [w for w in windows if w["source"] == "B+tree@0"]
+    assert sum(w["ops"] for w in pre) == observed.cutover_seq + 1
+    assert all(w["source"] == "ALEX@1" for w in windows[len(pre):])
+    for w in windows:
+        assert sum(w["op_counts"].values()) == w["ops"]
+        assert 0 <= w["ok"] <= w["ops"]
 
 
 def test_sweep_publishes_tasks_then_cache_hits(tmp_path):

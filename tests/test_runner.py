@@ -1,5 +1,7 @@
 """Benchmark runner and report helpers."""
 
+import random
+
 import pytest
 
 from repro.core.report import bar, format_bytes, format_number, series, table
@@ -9,9 +11,11 @@ from repro.core.runner import (
     LatencyStats,
     best_throughput,
     execute,
+    storm_threshold,
 )
 from repro.core.workloads import (
     INSERT,
+    LOOKUP,
     Operation,
     Workload,
     deletion_workload,
@@ -201,6 +205,75 @@ def test_best_throughput():
     assert winner.throughput_mops == max(r.throughput_mops for r in results)
     with pytest.raises(ValueError):
         best_throughput([])
+
+
+def test_storm_threshold_is_a_floored_median_baseline():
+    baseline, threshold = storm_threshold([0.5, 0.0, 0.02], 3.0, 0.05)
+    assert baseline == 0.02
+    assert threshold == pytest.approx(0.06)
+    assert storm_threshold([0.0, 0.01, 0.0], 3.0, 0.05) == (0.0, 0.05)
+
+
+def test_windowed_observers_close_identical_windows():
+    """Metrics, SLO and bus windows come from one window loop: the same
+    boundaries, the flushed partial window included, and the same
+    failure and SMO counts as the op stream itself."""
+    from repro.core.events import KIND_OP_WINDOW, EventBus
+    from repro.core.slo import SLOTracker
+    from repro.core.telemetry import METRIC_THROUGHPUT, MetricsCollector
+
+    rng = random.Random(7)
+    bulk = KEYS[::2]
+    fresh = KEYS[1::2]
+    ops = []
+    for i in range(1000):
+        if i % 4 == 0:
+            ops.append(Operation(LOOKUP, rng.choice(bulk)))
+        elif i % 4 == 1:  # odd keys are never stored: a missing lookup
+            ops.append(Operation(LOOKUP, rng.randrange(1, 20000, 2)))
+        elif i % 4 == 2:
+            ops.append(Operation(INSERT, fresh[i // 4], i))
+        else:  # a duplicate insert fails
+            ops.append(Operation(INSERT, rng.choice(bulk), i))
+    wl = Workload(name="mixed-failures", bulk_items=[(k, k) for k in bulk],
+                  operations=ops)
+
+    class Tally(ExecutionObserver):
+        def __init__(self):
+            self.failed = 0
+            self.smos = 0
+
+        def on_op(self, event, latency):
+            self.failed += not event.ok
+
+        def on_smo(self, event):
+            self.smos += 1
+
+    tally = Tally()
+    metrics = MetricsCollector(window_ops=96)
+    slo = SLOTracker(window_ops=96)
+    bus = EventBus()
+    execute(BPlusTree(fanout=8), wl, observers=[tally, metrics, slo],
+            bus=bus, bus_window=96)
+
+    metric_windows = [(s["window_start_ns"], s["t_ns"], s["window_ops"])
+                      for s in metrics.series
+                      if s["metric"] == METRIC_THROUGHPUT]
+    slo_windows = [(w["window_start_ns"], w["t_ns"], w["ops"])
+                   for w in slo.windows]
+    bus_windows = [(e["window_start_ns"], e["t_ns"], e["ops"])
+                   for e in bus.events(kind=KIND_OP_WINDOW)]
+    assert metric_windows == slo_windows == bus_windows
+    assert [ops for _, _, ops in bus_windows] == [96] * 10 + [40]
+
+    assert tally.failed > 0 and tally.smos > 0
+    snap = metrics.registry.snapshot()
+    assert snap["ops_total"]["value"] == 1000
+    assert snap["ops_failed"]["value"] == tally.failed
+    assert snap["smo_total"]["value"] == tally.smos
+    assert sum(w["smos"] for w in slo.windows) == tally.smos
+    assert sum(e["ok"] for e in bus.events(kind=KIND_OP_WINDOW)) == \
+        1000 - tally.failed
 
 
 def test_report_table_and_series():
